@@ -501,6 +501,24 @@ struct ClassStats {
     latency_sum_us: u128,
 }
 
+/// Per-class counters in first-seen order. A run carries a handful of
+/// short class names, so a linear scan beats hashing the name on every
+/// completion, drop and shed. The report sorts classes by name.
+#[derive(Debug, Default)]
+struct ClassTable(Vec<(&'static str, ClassStats)>);
+
+impl ClassTable {
+    /// The counters for `class`, created zeroed on first sight.
+    fn stats_mut(&mut self, class: &'static str) -> &mut ClassStats {
+        let found = self.0.iter().position(|(c, _)| *c == class);
+        let pos = found.unwrap_or_else(|| {
+            self.0.push((class, ClassStats::default()));
+            self.0.len() - 1
+        });
+        &mut self.0[pos].1
+    }
+}
+
 /// Inline capacity of a [`DropLog`]. The kernel retransmit schedule caps at
 /// 3 retries, so the overwhelming majority of requests that drop at all fit
 /// inline; only pathological app-level retry loops spill to the heap.
@@ -852,7 +870,7 @@ pub struct Engine {
     vlrt_total: u64,
     next_token: u64,
     parked: HashMap<u64, (ReqId, usize, u16)>,
-    class_stats: HashMap<&'static str, ClassStats>,
+    class_stats: ClassTable,
     rng_faults: SimRng,
     rng_jitter: SimRng,
     /// Per-tier fault state toggled by the plan's begin/end events.
@@ -1095,7 +1113,7 @@ impl Engine {
             vlrt_total: 0,
             next_token: 0,
             parked: HashMap::new(),
-            class_stats: HashMap::new(),
+            class_stats: ClassTable::default(),
             rng_faults: root.fork("faults"),
             rng_jitter: root.fork("retry-jitter"),
             tier_down: vec![false; n_tiers],
@@ -1711,8 +1729,9 @@ impl Engine {
 
     /// Pulls one arrival from the streaming source, queues its `Inject`,
     /// and parks the payload in `pending_arrival`. On exhaustion the
-    /// source's fault (if any) is recorded; a time regression trips the
-    /// engine's own monotonicity guard and ends the stream the same way.
+    /// source's fault (if any) is recorded; a time regression, or a plan
+    /// whose depth or fan-out shape does not fit the system, trips one of
+    /// the engine's own guards and ends the stream the same way.
     fn pull_next_arrival(&mut self) {
         let Workload::Source(src) = &mut self.workload else {
             return;
@@ -1728,6 +1747,22 @@ impl Engine {
                         self.last_arrival
                     ));
                     return;
+                }
+                if req.plan.depth() != self.tiers.len() {
+                    self.workload_fault = Some(format!(
+                        "arrival source emitted a {}-tier plan at {t} for a {}-tier system",
+                        req.plan.depth(),
+                        self.tiers.len()
+                    ));
+                    return;
+                }
+                if self.has_fanout {
+                    if let Err(e) = req.plan.matches_shape(&self.cfg.shape) {
+                        self.workload_fault = Some(format!(
+                            "arrival source emitted a misshapen plan at {t}: {e}"
+                        ));
+                        return;
+                    }
                 }
                 self.last_arrival = t;
                 self.pending_arrival = Some(req);
@@ -1749,28 +1784,30 @@ impl Engine {
             // Inject takes an earlier sequence number than anything this
             // request schedules at the same timestamp, matching the order
             // the eager paths produce by pushing all arrivals up front.
+            // (`pull_next_arrival` already vetted this plan's shape.)
             self.pull_next_arrival();
             (req.class, req.plan)
         } else {
-            match &self.workload {
+            let (class, plan) = match &self.workload {
                 Workload::Closed { mix, .. } | Workload::Open { mix, .. } => {
                     let s = mix.sample(&mut self.rng_mix);
                     (s.class, Plan::compile(&s))
                 }
                 Workload::OpenPlans { arrivals } => ("custom", arrivals[idx as usize].1.share()),
                 Workload::Source(_) => unreachable!("handled above"),
+            };
+            assert_eq!(
+                plan.depth(),
+                self.tiers.len(),
+                "plan depth must match the system's tier count"
+            );
+            if self.has_fanout {
+                if let Err(e) = plan.matches_shape(&self.cfg.shape) {
+                    panic!("{e}");
+                }
             }
+            (class, plan)
         };
-        assert_eq!(
-            plan.depth(),
-            self.tiers.len(),
-            "plan depth must match the system's tier count"
-        );
-        if self.has_fanout {
-            if let Err(e) = plan.matches_shape(&self.cfg.shape) {
-                panic!("{e}");
-            }
-        }
         // Fast-fail at the client while its breaker refuses the hop (in
         // half-open this admits the request as the probe).
         if self.tiers[0].hop_breaker.is_some() {
@@ -1784,7 +1821,7 @@ impl Engine {
                 self.injected += 1;
                 self.shed += 1;
                 self.tiers[0].res.shed += 1;
-                self.class_stats.entry(class).or_default().shed += 1;
+                self.class_stats.stats_mut(class).shed += 1;
                 // No RequestState ever exists: open and close a mini-trace
                 // so breaker sheds still show up in the log.
                 let h = self.tracer.start(self.now, class);
@@ -2728,10 +2765,7 @@ impl Engine {
         self.drops_total += 1;
         self.tiers[tier].replicas[rep].drops_total += 1;
         self.tiers[tier].replicas[rep].drops.add(self.now, 1.0);
-        self.class_stats
-            .entry(self.requests[i].class)
-            .or_default()
-            .drops += 1;
+        self.class_stats.stats_mut(self.requests[i].class).drops += 1;
         self.requests[i].drops.push(DropRecord {
             tier,
             replica: ReplicaId::from(rep),
@@ -2982,10 +3016,7 @@ impl Engine {
         }
         if !self.hot[i].orphan {
             self.shed += 1;
-            self.class_stats
-                .entry(self.requests[i].class)
-                .or_default()
-                .shed += 1;
+            self.class_stats.stats_mut(self.requests[i].class).shed += 1;
             let latency = self.now - self.requests[i].injected_at;
             self.tracer.set_terminal(
                 self.requests[i].trace,
@@ -3215,7 +3246,7 @@ impl Engine {
         if let Some(reg) = self.metrics.as_mut() {
             reg.record_latency(self.now, latency);
         }
-        let stats = self.class_stats.entry(self.requests[i].class).or_default();
+        let stats = self.class_stats.stats_mut(self.requests[i].class);
         stats.completed += 1;
         stats.latency_sum_us += u128::from(latency.as_micros());
         if latency >= SimDuration::from_millis(ntier_telemetry::VLRT_THRESHOLD_MS) {
@@ -3397,6 +3428,7 @@ impl Engine {
             .collect();
         let mut classes: Vec<ClassReport> = self
             .class_stats
+            .0
             .iter()
             .map(|(class, s)| ClassReport {
                 class,

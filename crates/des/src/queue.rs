@@ -16,12 +16,29 @@
 //! bucket once), and anything beyond the wheel horizon parks in an overflow
 //! heap that is consulted only when an epoch is exhausted.
 //!
-//! The active bucket is a *descending* sorted `Vec`: the earliest entry
-//! pops off the back in O(1), and in-window pushes binary-search their
+//! # The active bucket
+//!
+//! The bucket being drained is a *descending* sorted `Vec`: the earliest
+//! entry pops off the back in O(1). A push earlier than the current back
+//! is a plain `Vec::push`; any other in-window push binary-searches its
 //! slot. The bucket is small (1.024 ms of pending events), so the insert
 //! memmove stays within a cache line or two — measured against a
 //! `VecDeque` ring with an append fast path, the contiguous `Vec` wins on
 //! the engine's real workloads.
+//!
+//! # The pooled wheel
+//!
+//! Most pushes land in the active bucket, and the wheel buckets that do
+//! fill hold a fraction of an entry on average, so the wheel's cost is
+//! cache misses rather than sorting. The wheel therefore owns no buffer per
+//! bucket. Every bucket is a singly linked list of nodes in one shared node
+//! pool: a 16 KB array of `u32` list heads, plus a 64-word occupancy bitmap
+//! whose `trailing_zeros` finds the next non-empty bucket without touching
+//! the empty ones. Promoting a bucket walks its list into the active `Vec`
+//! and splices the nodes onto the pool's free list, so steady-state pushes
+//! allocate nothing. An exhausted epoch leaves the wheel empty; the pool is
+//! reset there, and capacity left over from a burst goes back to the
+//! allocator.
 //!
 //! Pop order is identical to the old heap implementation: the earliest
 //! `(time, seq)` pair always pops first, which is what the golden-report
@@ -34,16 +51,20 @@ use crate::time::SimTime;
 
 /// log2 of the bucket width in microseconds (1.024 ms buckets).
 const BUCKET_SHIFT: u32 = 10;
-/// Number of wheel buckets (must be a power of two).
+/// Number of wheel buckets (must be a multiple of 64, the bitmap word).
 const NUM_BUCKETS: usize = 1 << 12;
 /// Bucket width in microseconds.
 const BUCKET_WIDTH: u64 = 1 << BUCKET_SHIFT;
 /// Wheel span in microseconds (~4.19 s): near-future events land in a
 /// bucket, anything later overflows to the heap.
 const WHEEL_SPAN: u64 = BUCKET_WIDTH * NUM_BUCKETS as u64;
+/// Words in the bucket-occupancy bitmap.
+const OCCUPANCY_WORDS: usize = NUM_BUCKETS / 64;
 /// Capacity floor below which epoch-rollover decay leaves buffers alone:
 /// small buffers are cheap to keep and avoid re-growth churn.
 const DECAY_FLOOR: usize = 64;
+/// End-of-list marker for bucket lists and the node free list.
+const NIL: u32 = u32::MAX;
 
 /// A time-ordered queue of pending simulation events.
 ///
@@ -69,9 +90,15 @@ pub struct EventQueue<E> {
     /// `(time, seq)`: the earliest entry pops from the back in O(1). Also
     /// absorbs late pushes at or before the cursor ("past" events).
     active: Vec<Entry<E>>,
-    /// Wheel buckets for the current epoch; buckets at or before `cursor`
-    /// are empty, later ones hold unsorted entries.
-    buckets: Vec<Vec<Entry<E>>>,
+    /// First node of each wheel bucket's list, or [`NIL`]. Buckets at or
+    /// before `cursor` are empty; later ones hold unsorted entries.
+    heads: Box<[u32]>,
+    /// Bit `i % 64` of word `i / 64` is set iff bucket `i` is non-empty.
+    occupied: Box<[u64; OCCUPANCY_WORDS]>,
+    /// The node pool behind every bucket list.
+    nodes: Vec<Node<E>>,
+    /// Head of the free-node list threaded through `nodes`, or [`NIL`].
+    free: u32,
     /// Events beyond the wheel horizon, pulled in on epoch rebase.
     overflow: BinaryHeap<Entry<E>>,
     /// Start of the current epoch in microseconds (a multiple of the span).
@@ -87,6 +114,14 @@ struct Entry<E> {
     time: SimTime,
     seq: u64,
     event: E,
+}
+
+/// One wheel-bucket list cell: `entry` is `None` while the node sits on
+/// the free list.
+#[derive(Debug)]
+struct Node<E> {
+    entry: Option<Entry<E>>,
+    next: u32,
 }
 
 impl<E> Entry<E> {
@@ -122,7 +157,10 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             active: Vec::new(),
-            buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            heads: vec![NIL; NUM_BUCKETS].into_boxed_slice(),
+            occupied: Box::new([0; OCCUPANCY_WORDS]),
+            nodes: Vec::new(),
+            free: NIL,
             overflow: BinaryHeap::new(),
             epoch_start: 0,
             cursor: 0,
@@ -157,15 +195,47 @@ impl<E> EventQueue<E> {
         let t = time.as_micros();
         if t < self.active_end() {
             // Hot path for same-bucket scheduling and the occasional past
-            // event: keep `active` sorted descending so pop stays O(1).
-            let pos = self.active.partition_point(|e| e.key() > entry.key());
-            self.active.insert(pos, entry);
+            // event: keep `active` sorted descending so pop stays O(1). The
+            // new entry has the largest seq, so it belongs at the back iff
+            // it is strictly earlier than the current back.
+            if self.active.last().is_none_or(|back| time < back.time) {
+                self.active.push(entry);
+            } else {
+                let pos = self.active.partition_point(|e| e.key() > entry.key());
+                self.active.insert(pos, entry);
+            }
         } else if t < self.epoch_start + WHEEL_SPAN {
             let idx = ((t - self.epoch_start) >> BUCKET_SHIFT) as usize;
-            self.buckets[idx].push(entry);
+            self.push_bucket(idx, entry);
         } else {
             self.overflow.push(entry);
         }
+    }
+
+    /// Prepends `entry` to wheel bucket `idx`'s list, reusing a free node
+    /// when the pool has one.
+    fn push_bucket(&mut self, idx: usize, entry: Entry<E>) {
+        let next = self.heads[idx];
+        let node = if self.free == NIL {
+            let node = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&n| n != NIL)
+                .expect("wheel node pool exceeds u32 indices");
+            self.nodes.push(Node {
+                entry: Some(entry),
+                next,
+            });
+            node
+        } else {
+            let node = self.free;
+            let cell = &mut self.nodes[node as usize];
+            self.free = cell.next;
+            cell.entry = Some(entry);
+            cell.next = next;
+            node
+        };
+        self.heads[idx] = node;
+        self.occupied[idx / 64] |= 1 << (idx % 64);
     }
 
     /// Removes and returns the earliest event, if any.
@@ -236,7 +306,7 @@ impl<E> EventQueue<E> {
             {
                 let e = self.overflow.pop().expect("peeked above");
                 let idx = ((e.time.as_micros() - self.epoch_start) >> BUCKET_SHIFT) as usize;
-                self.buckets[idx].push(e);
+                self.push_bucket(idx, e);
             }
             if self.promote_from(0) {
                 return;
@@ -244,17 +314,22 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Shrinks buffers that ballooned during a burst and have since
-    /// drained: any bucket (or the overflow heap / active bucket) holding
-    /// more than 4× its live entries gives the excess back, down to a
-    /// small floor that avoids re-growth churn. Runs on epoch rollover
-    /// only (once per ~4.2 s of simulated time), never on the push/pop
-    /// hot path.
+    /// Resets the node pool and shrinks buffers that ballooned during a
+    /// burst and have since drained: the pool (empty here) and the
+    /// overflow heap and active bucket, when holding more than 4× their
+    /// live entries, give the excess back, down to a small floor that
+    /// avoids re-growth churn. Runs on epoch rollover only (once per
+    /// ~4.2 s of simulated time), never on the push/pop hot path.
     fn decay_capacity(&mut self) {
-        for b in &mut self.buckets {
-            if b.capacity() > DECAY_FLOOR && b.capacity() > 4 * b.len() {
-                b.shrink_to((2 * b.len()).max(DECAY_FLOOR));
-            }
+        debug_assert!(
+            self.occupied.iter().all(|&w| w == 0),
+            "rollover requires an empty wheel"
+        );
+        // Every bucket is empty, so every node is free.
+        self.nodes.clear();
+        self.free = NIL;
+        if self.nodes.capacity() > DECAY_FLOOR {
+            self.nodes.shrink_to(DECAY_FLOOR);
         }
         if self.overflow.capacity() > DECAY_FLOOR
             && self.overflow.capacity() > 4 * self.overflow.len()
@@ -268,32 +343,59 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Heap capacity currently retained across the active bucket, wheel
-    /// buckets, and overflow heap, in entries. Exposed so long-horizon
-    /// callers (and the rollover-decay tests) can observe that peak-burst
-    /// memory is actually returned.
+    /// Heap capacity currently retained across the active bucket, the
+    /// wheel's node pool, and the overflow heap, in entries. Exposed so
+    /// long-horizon callers (and the rollover-decay tests) can observe
+    /// that peak-burst memory is actually returned.
     pub fn retained_capacity(&self) -> usize {
-        self.active.capacity()
-            + self.buckets.iter().map(Vec::capacity).sum::<usize>()
-            + self.overflow.capacity()
+        self.active.capacity() + self.nodes.capacity() + self.overflow.capacity()
+    }
+
+    /// The first non-empty wheel bucket at or after `start`, found through
+    /// the occupancy bitmap.
+    fn next_occupied(&self, start: usize) -> Option<usize> {
+        let mut word = start / 64;
+        if word >= OCCUPANCY_WORDS {
+            return None;
+        }
+        let mut bits = self.occupied[word] & (!0u64 << (start % 64));
+        loop {
+            if bits != 0 {
+                return Some(word * 64 + bits.trailing_zeros() as usize);
+            }
+            word += 1;
+            if word == OCCUPANCY_WORDS {
+                return None;
+            }
+            bits = self.occupied[word];
+        }
     }
 
     /// Moves the first non-empty bucket at or after `start` into `active`
-    /// (sorted descending) and advances the cursor to it. The drained
-    /// bucket inherits `active`'s old buffer, so steady-state promotion
-    /// allocates nothing.
+    /// (sorted descending), returns its nodes to the free list, and
+    /// advances the cursor to it.
     fn promote_from(&mut self, start: usize) -> bool {
-        for i in start..NUM_BUCKETS {
-            if !self.buckets[i].is_empty() {
-                std::mem::swap(&mut self.active, &mut self.buckets[i]);
-                // Unstable sort is safe: (time, seq) keys are unique.
-                self.active
-                    .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-                self.cursor = i;
-                return true;
-            }
+        let Some(i) = self.next_occupied(start) else {
+            return false;
+        };
+        let head = std::mem::replace(&mut self.heads[i], NIL);
+        self.occupied[i / 64] &= !(1 << (i % 64));
+        let mut node = head;
+        let mut tail = head;
+        while node != NIL {
+            let cell = &mut self.nodes[node as usize];
+            self.active
+                .push(cell.entry.take().expect("listed nodes hold entries"));
+            tail = node;
+            node = cell.next;
         }
-        false
+        self.nodes[tail as usize].next = self.free;
+        self.free = head;
+        // Unstable sort is safe: (time, seq) keys are unique.
+        self.active
+            .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+        self.cursor = i;
+        true
     }
 
     /// The timestamp of the earliest pending event, if any.
@@ -301,10 +403,16 @@ impl<E> EventQueue<E> {
         if let Some(e) = self.active.last() {
             return Some(e.time);
         }
-        for b in &self.buckets[(self.cursor + 1).min(NUM_BUCKETS)..] {
-            if !b.is_empty() {
-                return b.iter().map(|e| e.time).min();
+        if let Some(i) = self.next_occupied(self.cursor + 1) {
+            let mut node = self.heads[i];
+            let mut earliest: Option<SimTime> = None;
+            while node != NIL {
+                let cell = &self.nodes[node as usize];
+                let t = cell.entry.as_ref().expect("listed nodes hold entries").time;
+                earliest = Some(earliest.map_or(t, |m| m.min(t)));
+                node = cell.next;
             }
+            return earliest;
         }
         self.overflow.peek().map(|e| e.time)
     }
@@ -510,6 +618,10 @@ mod tests {
         fn pop(&mut self) -> Option<(SimTime, E)> {
             self.heap.pop().map(|e| (e.time, e.event))
         }
+
+        fn peek(&self) -> Option<(SimTime, &E)> {
+            self.heap.peek().map(|e| (e.time, &e.event))
+        }
     }
 
     proptest! {
@@ -589,6 +701,78 @@ mod tests {
                     break;
                 }
             }
+        }
+
+        /// The pooled wheel against the heap reference under every public
+        /// operation interleaved: near-future pushes (the engine's common
+        /// case, landing in the active bucket or a wheel bucket), pushes
+        /// anywhere in a ~20 s range (past events, other epochs, the
+        /// overflow heap), equal-time pushes, `pop`, `pop_run`, `peek` and
+        /// `peek_time`. Bucket nodes are recycled through the free list as
+        /// buckets drain, and the final drain crosses an epoch so rollover
+        /// must hand the node pool back.
+        #[test]
+        fn pooled_wheel_matches_heap_reference_under_all_ops(
+            ops in proptest::collection::vec((0u32..12, 0u64..20_000_000), 1..600)
+        ) {
+            let mut cal = EventQueue::new();
+            let mut heap = HeapQueue::new();
+            let mut now = 0u64;
+            let mut i = 0usize;
+            let mut batch = Vec::new();
+            for (op, t) in ops {
+                let push_at = match op {
+                    0..=3 => Some(now + t % 3_000),
+                    4 | 5 => Some(t),
+                    6 => Some(now),
+                    _ => None,
+                };
+                if let Some(at) = push_at {
+                    cal.push(SimTime::from_micros(at), i);
+                    heap.push(SimTime::from_micros(at), i);
+                    i += 1;
+                    continue;
+                }
+                match op {
+                    7 | 8 => {
+                        let got = cal.pop();
+                        prop_assert_eq!(got, heap.pop());
+                        if let Some((at, _)) = got {
+                            now = at.as_micros();
+                        }
+                    }
+                    9 => {
+                        let cap = (t % 8) as usize + 1;
+                        let got = cal.pop_run(&mut batch, cap);
+                        prop_assert_eq!(got, heap.pop());
+                        if let Some((at, _)) = got {
+                            now = at.as_micros();
+                            let run = batch.len() + 1;
+                            for e in batch.drain(..) {
+                                prop_assert_eq!(Some((at, e)), heap.pop());
+                            }
+                            if run < cap {
+                                prop_assert!(heap.peek().is_none_or(|(next, _)| next != at));
+                            }
+                        }
+                    }
+                    10 => prop_assert_eq!(cal.peek(), heap.peek()),
+                    _ => prop_assert_eq!(cal.peek_time(), heap.peek().map(|(at, _)| at)),
+                }
+                prop_assert_eq!(cal.len(), heap.heap.len());
+            }
+            while let Some(got) = cal.pop() {
+                prop_assert_eq!(Some(got), heap.pop());
+                now = got.0.as_micros();
+            }
+            prop_assert_eq!(heap.pop(), None);
+            // Two epochs on, the wheel rolls over empty: the node pool is
+            // reset (the one node the far event passed through is left)
+            // and any burst capacity goes back.
+            cal.push(SimTime::from_micros(now + 2 * WHEEL_SPAN), usize::MAX);
+            prop_assert_eq!(cal.pop().map(|(_, e)| e), Some(usize::MAX));
+            prop_assert_eq!(cal.nodes.len(), 1);
+            prop_assert!(cal.nodes.capacity() <= DECAY_FLOOR);
         }
 
         /// `pop_run` batches are just pops: draining via runs yields the

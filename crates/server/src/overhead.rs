@@ -19,6 +19,10 @@
 
 use ntier_des::time::SimDuration;
 
+/// Durations below this many microseconds survive the
+/// `SimDuration → f64 seconds → SimDuration` round trip unchanged.
+const EXACT_ROUND_TRIP_MICROS: u64 = 1 << 50;
+
 /// Per-request CPU-demand inflation as a function of active threads.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThreadOverheadModel {
@@ -59,7 +63,18 @@ impl ThreadOverheadModel {
 
     /// The effective demand for one request when `active` threads are live.
     pub fn effective_demand(&self, base: SimDuration, active: usize) -> SimDuration {
-        let billable = active.saturating_sub(self.free_threads) as f64;
+        let billable = active.saturating_sub(self.free_threads);
+        // With no billable threads and finite coefficients the formula
+        // below is `base * 1.0 + 0.0`, and the microsecond round trip
+        // through f64 seconds is exact below 2^50 µs: skip it.
+        if billable == 0
+            && self.ctx_coeff.is_finite()
+            && self.gc_coeff.is_finite()
+            && base.as_micros() < EXACT_ROUND_TRIP_MICROS
+        {
+            return base;
+        }
+        let billable = billable as f64;
         let base_s = base.as_secs_f64();
         let inflated =
             base_s * (1.0 + self.ctx_coeff * billable) + self.gc_coeff * billable * billable;
@@ -135,7 +150,48 @@ mod tests {
         assert!(m.effective_demand(base(), 65) > base());
     }
 
+    /// [`ThreadOverheadModel::effective_demand`] without its fast path.
+    fn f64_path(m: &ThreadOverheadModel, base: SimDuration, active: usize) -> SimDuration {
+        let billable = active.saturating_sub(m.free_threads) as f64;
+        let inflated =
+            base.as_secs_f64() * (1.0 + m.ctx_coeff * billable) + m.gc_coeff * billable * billable;
+        SimDuration::from_secs_f64(inflated)
+    }
+
+    #[test]
+    fn fast_path_holds_at_the_round_trip_limit() {
+        let m = ThreadOverheadModel::java_server_2000_threads();
+        for us in [0, 1, 750, (1 << 50) - 1] {
+            let base = SimDuration::from_micros(us);
+            assert_eq!(m.effective_demand(base, 10), f64_path(&m, base, 10));
+        }
+    }
+
     proptest! {
+        /// With no billable threads the fast path returns exactly what the
+        /// f64 formula computes, for any finite coefficients (negative and
+        /// extreme ones included) and any base below 2^50 µs.
+        #[test]
+        fn fast_path_matches_f64_path(
+            base_us in 0u64..(1 << 50),
+            small_us in 0u64..100_000,
+            ctx in (-1.0f64..1.0, -300i32..300),
+            gc in (-1.0f64..1.0, -300i32..300),
+            free in 0usize..10_000,
+            under in 0usize..10_000,
+        ) {
+            let m = ThreadOverheadModel {
+                ctx_coeff: ctx.0 * 10f64.powi(ctx.1),
+                gc_coeff: gc.0 * 10f64.powi(gc.1),
+                free_threads: free,
+            };
+            let active = under.min(free);
+            for us in [base_us, small_us] {
+                let base = SimDuration::from_micros(us);
+                prop_assert_eq!(m.effective_demand(base, active), f64_path(&m, base, active));
+            }
+        }
+
         /// Effective demand is monotone non-decreasing in active threads and
         /// never below base.
         #[test]

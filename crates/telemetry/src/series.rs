@@ -3,6 +3,13 @@
 //! [`WindowedSeries`] covers counters (VLRT requests per window, drops per
 //! window) and gauges (queue depths). [`UtilizationSeries`] accounts busy
 //! time per window, producing CPU-utilization timelines.
+//!
+//! Both record paths run once per simulated event or CPU slice, and
+//! consecutive recordings almost always fall in the same window. Each
+//! series therefore caches the window it last touched (a `WindowCursor`)
+//! and divides only when a recording leaves it.
+
+use std::fmt;
 
 use ntier_des::time::{SimDuration, SimTime};
 
@@ -37,6 +44,30 @@ impl WindowAgg {
     }
 }
 
+/// The window a series last recorded into: its start in microseconds and
+/// its index. Maps a time to its window index with one subtract-and-compare
+/// while recordings stay in that window; it is a pure function of the
+/// window size, so it never goes stale.
+#[derive(Clone, Copy, Default)]
+struct WindowCursor {
+    start_us: u64,
+    idx: usize,
+}
+
+impl WindowCursor {
+    /// The index of the window (of `wsize_us` microseconds) containing
+    /// `t_us`, moving the cursor there if needed.
+    fn seek(&mut self, t_us: u64, wsize_us: u64) -> usize {
+        // Times before the cached start wrap to a huge offset and miss too.
+        if t_us.wrapping_sub(self.start_us) >= wsize_us {
+            let idx = t_us / wsize_us;
+            self.start_us = idx * wsize_us;
+            self.idx = idx as usize;
+        }
+        self.idx
+    }
+}
+
 /// A time series aggregated into fixed windows (default 50 ms).
 ///
 /// Recordings are indexed by simulated time; the series grows on demand, and
@@ -54,10 +85,21 @@ impl WindowAgg {
 /// assert_eq!(vlrt.window(2).sum, 2.0);
 /// assert_eq!(vlrt.window(0).sum, 0.0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct WindowedSeries {
     window: SimDuration,
     windows: Vec<WindowAgg>,
+    cursor: WindowCursor,
+}
+
+impl fmt::Debug for WindowedSeries {
+    /// The recorded state only: the window cursor is a lookup cache.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WindowedSeries")
+            .field("window", &self.window)
+            .field("windows", &self.windows)
+            .finish()
+    }
 }
 
 impl WindowedSeries {
@@ -71,6 +113,7 @@ impl WindowedSeries {
         WindowedSeries {
             window,
             windows: Vec::new(),
+            cursor: WindowCursor::default(),
         }
     }
 
@@ -117,7 +160,7 @@ impl WindowedSeries {
     /// Adds `value` to the window containing `t` (counter semantics: values
     /// accumulate in `sum`).
     pub fn add(&mut self, t: SimTime, value: f64) {
-        let idx = t.window_index(self.window) as usize;
+        let idx = self.cursor.seek(t.as_micros(), self.window.as_micros());
         self.ensure(idx);
         let w = &mut self.windows[idx];
         w.sum += value;
@@ -257,11 +300,23 @@ impl WindowedSeries {
 /// assert!((cpu.utilization(0) - 0.5).abs() < 1e-9);
 /// assert!((cpu.utilization(1) - 0.5).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct UtilizationSeries {
     window: SimDuration,
     cores: u32,
     busy_micros: Vec<u64>,
+    cursor: WindowCursor,
+}
+
+impl fmt::Debug for UtilizationSeries {
+    /// The recorded state only: the window cursor is a lookup cache.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("UtilizationSeries")
+            .field("window", &self.window)
+            .field("cores", &self.cores)
+            .field("busy_micros", &self.busy_micros)
+            .finish()
+    }
 }
 
 impl UtilizationSeries {
@@ -277,6 +332,7 @@ impl UtilizationSeries {
             window,
             cores,
             busy_micros: Vec::new(),
+            cursor: WindowCursor::default(),
         }
     }
 
@@ -321,15 +377,23 @@ impl UtilizationSeries {
             return;
         }
         let wsize = self.window.as_micros();
-        let mut cursor = start.as_micros();
+        let mut from = start.as_micros();
         let end_us = end.as_micros();
-        while cursor < end_us {
-            let idx = (cursor / wsize) as usize;
-            let window_end = (idx as u64 + 1) * wsize;
-            let slice_end = window_end.min(end_us);
+        self.cursor.seek(from, wsize);
+        loop {
+            let WindowCursor { start_us, idx } = self.cursor;
+            let slice_end = (start_us + wsize).min(end_us);
             self.ensure(idx);
-            self.busy_micros[idx] += slice_end - cursor;
-            cursor = slice_end;
+            self.busy_micros[idx] += slice_end - from;
+            if slice_end == end_us {
+                return;
+            }
+            // The span runs on into the next window: step the cursor there.
+            from = slice_end;
+            self.cursor = WindowCursor {
+                start_us: slice_end,
+                idx: idx + 1,
+            };
         }
     }
 
@@ -543,7 +607,94 @@ mod tests {
         u.record_busy(ms(20), ms(10));
     }
 
+    /// [`WindowedSeries::add`] as the plain division formula, the reference
+    /// for the cached-window path.
+    fn reference_add(windows: &mut Vec<WindowAgg>, wsize: SimDuration, t: SimTime, value: f64) {
+        let idx = t.window_index(wsize) as usize;
+        if idx >= windows.len() {
+            windows.resize(idx + 1, WindowAgg::default());
+        }
+        let w = &mut windows[idx];
+        w.sum += value;
+        w.count += 1;
+        if value > w.max {
+            w.max = value;
+        }
+        w.last = value;
+    }
+
+    /// [`UtilizationSeries::record_busy`] as the plain division formula.
+    fn reference_busy(busy: &mut Vec<u64>, wsize: u64, start: u64, end: u64) {
+        let mut cursor = start;
+        while cursor < end {
+            let idx = (cursor / wsize) as usize;
+            let slice_end = ((idx as u64 + 1) * wsize).min(end);
+            if idx >= busy.len() {
+                busy.resize(idx + 1, 0);
+            }
+            busy[idx] += slice_end - cursor;
+            cursor = slice_end;
+        }
+    }
+
+    #[test]
+    fn debug_shows_recorded_state_only() {
+        let mut s = WindowedSeries::paper_default();
+        s.add(ms(60), 2.0);
+        assert_eq!(
+            format!("{s:?}"),
+            format!(
+                "WindowedSeries {{ window: {:?}, windows: {:?} }}",
+                s.window, s.windows
+            )
+        );
+        let mut u = UtilizationSeries::paper_default(2);
+        u.record_busy(ms(30), ms(70));
+        assert_eq!(
+            format!("{u:?}"),
+            format!(
+                "UtilizationSeries {{ window: {:?}, cores: 2, busy_micros: {:?} }}",
+                u.window, u.busy_micros
+            )
+        );
+    }
+
     proptest! {
+        /// The cached-window `add` writes exactly what the division formula
+        /// writes, for times in any order (so the cursor both hits and
+        /// misses, forwards and backwards) and odd window sizes.
+        #[test]
+        fn cached_add_matches_division(
+            wsize in 1u64..5_000,
+            values in proptest::collection::vec((0u64..200_000, 0.0f64..10.0), 1..200),
+        ) {
+            let window = SimDuration::from_micros(wsize);
+            let mut s = WindowedSeries::with_window(window);
+            let mut expect = Vec::new();
+            for (t, v) in values {
+                s.add(SimTime::from_micros(t), v);
+                reference_add(&mut expect, window, SimTime::from_micros(t), v);
+                prop_assert_eq!(&s.windows, &expect);
+            }
+        }
+
+        /// The cached-window `record_busy` splits every interval exactly as
+        /// the division formula does, for intervals in any order, empty
+        /// ones, and spans covering many windows.
+        #[test]
+        fn cached_record_busy_matches_division(
+            wsize in 1u64..5_000,
+            intervals in proptest::collection::vec((0u64..200_000, 0u64..20_000), 1..100),
+        ) {
+            let mut u = UtilizationSeries::with_window(SimDuration::from_micros(wsize), 1);
+            let mut expect = Vec::new();
+            for (start, len) in intervals {
+                u.record_busy(SimTime::from_micros(start), SimTime::from_micros(start + len));
+                reference_busy(&mut expect, wsize, start, start + len);
+                prop_assert_eq!(&u.busy_micros, &expect);
+            }
+        }
+
         /// Total busy time recorded equals total busy time read back,
         /// regardless of how intervals straddle windows.
         #[test]

@@ -324,6 +324,114 @@ fn deep_fingerprint(r: &ntier_core::RunReport) -> String {
     s
 }
 
+/// FNV-1a over a [`deep_fingerprint`] string: one `u64` constant pins
+/// every counter, quantile and per-window series of a run.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A deep golden: the headline counters in readable form, plus the hash
+/// of the full [`deep_fingerprint`].
+#[derive(Debug, PartialEq, Eq)]
+struct DeepGolden {
+    events: u64,
+    injected: u64,
+    completed: u64,
+    failed: u64,
+    shed: u64,
+    drops: u64,
+    timeouts: u64,
+    retries: u64,
+    deep_hash: u64,
+}
+
+fn deep_golden(r: &ntier_core::RunReport) -> DeepGolden {
+    DeepGolden {
+        events: r.events,
+        injected: r.injected,
+        completed: r.completed,
+        failed: r.failed,
+        shed: r.shed,
+        drops: r.drops_total,
+        timeouts: r.resilience.timeouts,
+        retries: r.resilience.retries,
+        deep_hash: fnv1a(&deep_fingerprint(r)),
+    }
+}
+
+/// The streamed `trace_replay` preset cut at 610 s: ten seconds past the
+/// first submission surge, so the baseline arm is mid-way through its
+/// retransmit tail and the hardened arm has timed out, retried and shed.
+fn trace_replay_610s(arm: experiment::TraceReplayArm) -> ntier_core::RunReport {
+    let mut spec = experiment::trace_replay(arm, 7);
+    spec.horizon = SimDuration::from_secs(610);
+    let report = spec.run();
+    assert!(report.workload_fault.is_none());
+    report
+}
+
+/// The baseline arm covers the streaming arrival path (CSV → trace
+/// instances → memoized plans), SYN drops and the retransmit ladder.
+#[test]
+fn golden_trace_replay_baseline_610s_seed_7() {
+    assert_eq!(
+        deep_golden(&trace_replay_610s(experiment::TraceReplayArm::Baseline)),
+        DeepGolden {
+            events: 2311121,
+            injected: 153954,
+            completed: 153385,
+            failed: 0,
+            shed: 0,
+            drops: 9777,
+            timeouts: 0,
+            retries: 0,
+            deep_hash: 9875307669518363047,
+        }
+    );
+}
+
+/// The hardened arm covers attempt timeouts, jittered retries, the client
+/// breaker's fast-fail sheds and deadline shedding on the streaming path.
+#[test]
+fn golden_trace_replay_hardened_610s_seed_7() {
+    assert_eq!(
+        deep_golden(&trace_replay_610s(experiment::TraceReplayArm::Hardened)),
+        DeepGolden {
+            events: 2448622,
+            injected: 153954,
+            completed: 147011,
+            failed: 5649,
+            shed: 1293,
+            drops: 8702,
+            timeouts: 5664,
+            retries: 15,
+            deep_hash: 15808285400258353021,
+        }
+    );
+}
+
+/// Fig. 12's async arm is the only preset through the event-loop tiers
+/// and the thread-overhead model.
+#[test]
+fn golden_fig12_async_400_seed_11() {
+    assert_eq!(
+        deep_golden(&experiment::fig12_async(400, 11).run()),
+        DeepGolden {
+            events: 402175,
+            injected: 26983,
+            completed: 26583,
+            failed: 0,
+            shed: 0,
+            drops: 0,
+            timeouts: 0,
+            retries: 0,
+            deep_hash: 4162125515399043385,
+        }
+    );
+}
+
 fn invariance_specs() -> Vec<experiment::ExperimentSpec> {
     let mut specs = vec![
         experiment::fig1(3_000, SimDuration::from_secs(10), 1),

@@ -12,13 +12,14 @@
 //! * the `Workload::open`/`open_plans` builders are drop-in equal to the
 //!   deprecated direct variant constructions they wrap;
 //! * mix/system mismatches surface as typed [`WorkloadError`]s, and trace
-//!   parse failures surface as `RunReport::workload_fault`, never panics.
+//!   parse failures and streamed plans that do not fit the system surface
+//!   as `RunReport::workload_fault`, never panics.
 
 #![deny(deprecated)]
 
 use ntier_core::arrivals::{MixPlans, PlanStamped, SourcedRequest, TraceDemandModel, TracePlans};
 use ntier_core::engine::{Engine, Workload, WorkloadError};
-use ntier_core::{ExperimentSpec, Plan, TierSpec, Topology};
+use ntier_core::{Branch, ExperimentSpec, Plan, TierSpec, Topology};
 use ntier_des::prelude::*;
 use ntier_workload::source::{ArrivalSource, MmppSource, PoissonSource, VecSource};
 use ntier_workload::{
@@ -304,6 +305,93 @@ fn non_monotone_sources_trip_the_engine_guard() {
     let fault = report.workload_fault.as_deref().expect("guard tripped");
     assert!(fault.contains("non-decreasing"), "{fault}");
     assert_eq!(report.injected, 1, "{}", report.summary());
+}
+
+/// Replays a fixed list of plans, one every 10 ms.
+struct Scripted {
+    plans: std::vec::IntoIter<Plan>,
+    emitted: u64,
+}
+
+impl Scripted {
+    fn new(plans: Vec<Plan>) -> Self {
+        Scripted {
+            plans: plans.into_iter(),
+            emitted: 0,
+        }
+    }
+}
+
+impl ArrivalSource for Scripted {
+    type Payload = SourcedRequest;
+    fn next_arrival(&mut self, _rng: &mut SimRng) -> Option<(SimTime, SourcedRequest)> {
+        let plan = self.plans.next()?;
+        self.emitted += 1;
+        Some((
+            SimTime::from_millis(10 * self.emitted),
+            SourcedRequest {
+                class: "scripted",
+                plan,
+            },
+        ))
+    }
+}
+
+#[test]
+fn streamed_plans_of_the_wrong_depth_truncate_into_the_fault() {
+    let three = Plan::pipeline(&[SimDuration::from_micros(100); 3]);
+    let two = Plan::pipeline(&[SimDuration::from_micros(100); 2]);
+    let plans = vec![
+        three.share(),
+        three.share(),
+        three.share(),
+        two,
+        three.share(),
+    ];
+    let report = Engine::new(
+        small_system(),
+        Workload::from_source(Scripted::new(plans)),
+        SimDuration::from_secs(2),
+        1,
+    )
+    .run();
+    let fault = report.workload_fault.as_deref().expect("guard tripped");
+    assert!(fault.contains("2-tier plan"), "{fault}");
+    assert_eq!(report.injected, 3, "{}", report.summary());
+    assert_eq!(report.completed, 3, "{}", report.summary());
+    assert!(report.is_conserved());
+}
+
+#[test]
+fn streamed_plans_of_the_wrong_shape_truncate_into_the_fault() {
+    let system = Topology::client()
+        .tier(TierSpec::sync("front", 4, 4))
+        .fanout(
+            2,
+            vec![
+                Branch::tier(TierSpec::sync("a", 4, 4)),
+                Branch::tier(TierSpec::sync("b", 4, 4)),
+            ],
+        )
+        .build()
+        .expect("valid fan-out");
+    let demands = [SimDuration::from_micros(100); 3];
+    let fits = Plan::tree_pipeline(&system.shape, &demands);
+    // Right depth, wrong shape: a chain through what are two leaves.
+    let chain = Plan::pipeline(&demands);
+    assert!(chain.matches_shape(&system.shape).is_err());
+    let report = Engine::new(
+        system,
+        Workload::from_source(Scripted::new(vec![fits.share(), fits.share(), chain, fits])),
+        SimDuration::from_secs(2),
+        1,
+    )
+    .run();
+    let fault = report.workload_fault.as_deref().expect("guard tripped");
+    assert!(fault.contains("misshapen plan"), "{fault}");
+    assert_eq!(report.injected, 2, "{}", report.summary());
+    assert_eq!(report.completed, 2, "{}", report.summary());
+    assert!(report.is_conserved());
 }
 
 #[test]
