@@ -18,7 +18,7 @@ use ntier_workload::cluster_trace::TraceInstance;
 use ntier_workload::source::ArrivalSource;
 use ntier_workload::{RequestKind, RequestMix, SampledRequest};
 
-use crate::plan::Plan;
+use crate::plan::{Plan, PlanCompiler};
 
 /// One streamed arrival, ready for injection: the class label (for
 /// per-class reporting) and the compiled execution plan.
@@ -68,17 +68,23 @@ impl<S: ArrivalSource> ArrivalSource for PlanStamped<S> {
 /// Samples a [`RequestMix`] per arrival and compiles the 3-tier plan —
 /// the streaming analogue of `Workload::open`. Mix draws consume the same
 /// pull rng as the arrival times, so the stream stays deterministic
-/// regardless of thread or shard count.
+/// regardless of thread or shard count. Each draw is written straight into
+/// the plan through reusable scratch buffers, one allocation per plan.
 #[derive(Debug)]
 pub struct MixPlans<S> {
     inner: S,
     mix: RequestMix,
+    compiler: PlanCompiler,
 }
 
 impl<S> MixPlans<S> {
     /// Compiles one `mix` sample per arrival of `inner`.
     pub fn new(inner: S, mix: RequestMix) -> Self {
-        MixPlans { inner, mix }
+        MixPlans {
+            inner,
+            mix,
+            compiler: PlanCompiler::default(),
+        }
     }
 }
 
@@ -87,14 +93,8 @@ impl<S: ArrivalSource> ArrivalSource for MixPlans<S> {
 
     fn next_arrival(&mut self, rng: &mut SimRng) -> Option<(SimTime, SourcedRequest)> {
         let (t, _) = self.inner.next_arrival(rng)?;
-        let req = self.mix.sample(rng);
-        Some((
-            t,
-            SourcedRequest {
-                class: req.class,
-                plan: Plan::compile(&req),
-            },
-        ))
+        let (class, plan) = self.compiler.draw(&self.mix, rng);
+        Some((t, SourcedRequest { class, plan }))
     }
 
     fn fault(&self) -> Option<&str> {

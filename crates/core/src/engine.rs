@@ -80,7 +80,7 @@ use ntier_workload::{ClosedLoopSpec, RequestMix};
 
 use crate::arrivals::SourcedRequest;
 use crate::config::{SystemConfig, TierKind, TierSpec};
-use crate::plan::Plan;
+use crate::plan::{Plan, PlanCompiler};
 use crate::report::{ClassReport, DropRecord, ReplicaReport, RunReport, TierReport};
 use crate::shard::ShardPlan;
 use crate::topology::Balancer;
@@ -217,11 +217,22 @@ pub enum WorkloadError {
         /// Whether the config's shape was a linear chain.
         linear: bool,
     },
+    /// An eager plan table (`Workload::open_plans`) holds a plan whose
+    /// depth or call shape does not fit the system.
+    MisshapenPlan {
+        /// Index of the offending entry in the arrival table.
+        index: usize,
+        /// Which shape rule the plan breaks.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for WorkloadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            WorkloadError::MisshapenPlan { index, reason } => {
+                write!(f, "open plan {index} does not fit the system: {reason}")
+            }
             WorkloadError::MixRequiresThreeTier { tiers, linear } => {
                 let shape = if *linear { "linear" } else { "non-linear" };
                 write!(
@@ -236,6 +247,126 @@ impl std::fmt::Display for WorkloadError {
 }
 
 impl std::error::Error for WorkloadError {}
+
+/// Typed rejection of a structurally invalid [`SystemConfig`], returned by
+/// [`Engine::try_new`]. Configs built through [`crate::TopologyBuilder`]
+/// are already valid; these catch hand-assembled ones.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The config lists no tiers.
+    NoTiers,
+    /// The topology shape and the tier list disagree on the node count.
+    ShapeMismatch {
+        /// Nodes in `cfg.shape`.
+        shape_nodes: usize,
+        /// Entries in `cfg.tiers`.
+        tiers: usize,
+    },
+    /// A tier declares a downstream connection pool without having exactly
+    /// one downstream.
+    PoolWithoutSingleDownstream {
+        /// The tier's name.
+        tier: String,
+        /// Its downstream count.
+        downstreams: usize,
+    },
+    /// The fault plan targets a tier outside the chain.
+    FaultTierOutOfRange {
+        /// The targeted tier.
+        tier: usize,
+        /// Tiers in the config.
+        tiers: usize,
+    },
+    /// A gray fault targets a replica its tier does not have.
+    GrayReplicaOutOfRange {
+        /// The targeted tier.
+        tier: usize,
+        /// The targeted replica.
+        replica: usize,
+        /// Replicas at that tier.
+        replicas: usize,
+    },
+    /// The health detector monitors a tier outside the chain.
+    HealthTierOutOfRange {
+        /// The monitored tier.
+        tier: usize,
+        /// Tiers in the config.
+        tiers: usize,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::NoTiers => f.write_str("a system needs at least one tier"),
+            ConfigError::ShapeMismatch { shape_nodes, tiers } => write!(
+                f,
+                "topology shape covers {shape_nodes} nodes but the config has {tiers} tiers"
+            ),
+            ConfigError::PoolWithoutSingleDownstream { tier, downstreams } => write!(
+                f,
+                "tier {tier}: a downstream connection pool requires exactly one downstream \
+                 (it has {downstreams})"
+            ),
+            ConfigError::FaultTierOutOfRange { tier, .. } => {
+                write!(f, "fault targets tier {tier} outside the chain")
+            }
+            ConfigError::GrayReplicaOutOfRange {
+                tier,
+                replica,
+                replicas,
+            } => write!(
+                f,
+                "gray fault targets replica {replica} of tier {tier}, which has {replicas} replicas"
+            ),
+            ConfigError::HealthTierOutOfRange { tier, tiers } => {
+                write!(f, "health detector targets tier {tier} of {tiers}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// Why [`Engine::try_new`] refused to build an engine: the config itself
+/// is malformed, or the workload does not fit it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EngineError {
+    /// The system config is structurally invalid.
+    Config(ConfigError),
+    /// The workload cannot run on this system.
+    Workload(WorkloadError),
+}
+
+impl std::fmt::Display for EngineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EngineError::Config(e) => e.fmt(f),
+            EngineError::Workload(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for EngineError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            EngineError::Config(e) => Some(e),
+            EngineError::Workload(e) => Some(e),
+        }
+    }
+}
+
+impl From<ConfigError> for EngineError {
+    fn from(e: ConfigError) -> Self {
+        EngineError::Config(e)
+    }
+}
+
+impl From<WorkloadError> for EngineError {
+    fn from(e: WorkloadError) -> Self {
+        EngineError::Workload(e)
+    }
+}
 
 /// Generational handle into the request slab: `slot` indexes
 /// `Engine::requests`, and the handle is *live* only while `gen` matches the
@@ -577,8 +708,10 @@ struct RequestState {
     client: Option<u32>,
     class: &'static str,
     plan: Plan,
-    /// Index of the slice being (or about to be) executed, per tier.
-    slice_idx: Vec<usize>,
+    /// Per tier, the active visit's absolute slice range in the plan
+    /// buffer, `(pos, end)`: `pos` indexes the slice being (or about to be)
+    /// executed. Cached at visit start so a slice costs one indexed load.
+    slice: Vec<(u32, u32)>,
     /// The visit currently active at each tier.
     active_visit: Vec<u16>,
     /// The next downstream visit index to consume, per tier.
@@ -837,7 +970,7 @@ pub struct Engine {
     now: SimTime,
     tiers: Vec<NodeRuntime>,
     /// Cached `cfg.shape.has_fanout()`: fan-out runs pay the plan/shape
-    /// cross-check at inject; linear chains skip it.
+    /// cross-check on each streamed pull; linear chains skip it.
     has_fanout: bool,
     /// Request slab: slots are recycled through `free_slots` when a request
     /// reaches a terminal outcome, so steady-state memory tracks the peak
@@ -916,6 +1049,8 @@ pub struct Engine {
     /// A fault reported by the arrival source (or the engine's own
     /// monotonicity guard); copied into the report.
     workload_fault: Option<String>,
+    /// Scratch the mix path draws and compiles plans through.
+    compiler: PlanCompiler,
 }
 
 /// A streaming destination for metrics snapshots (opaque in debug output).
@@ -933,73 +1068,43 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics where [`Engine::try_new`] would return an error, and if `cfg`
-    /// has no tiers or a tier declares a downstream pool without exactly
-    /// one downstream. (Configs built through [`crate::TopologyBuilder`]
-    /// are already validated; these asserts catch hand-assembled configs.)
+    /// Panics where [`Engine::try_new`] would return an error.
     pub fn new(cfg: SystemConfig, workload: Workload, horizon: SimDuration, seed: u64) -> Self {
         Self::try_new(cfg, workload, horizon, seed).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`Engine::new`] with typed workload validation: a mix-based workload
-    /// paired with a system that cannot compile its plans returns a
-    /// [`WorkloadError`] instead of panicking.
+    /// [`Engine::new`] with typed validation: a malformed config or a
+    /// workload that does not fit the system returns an [`EngineError`]
+    /// instead of panicking.
     ///
     /// # Errors
     ///
-    /// Returns [`WorkloadError::MixRequiresThreeTier`] when a closed-loop
-    /// or open-mix workload is paired with anything but a plain 3-tier
-    /// chain.
-    ///
-    /// # Panics
-    ///
-    /// Config-structure violations (empty tier list, dangling downstream
-    /// pool, fault targets outside the chain) still panic, as in
-    /// [`Engine::new`].
+    /// Returns [`EngineError::Config`] for a structurally invalid config
+    /// (see [`ConfigError`]), and [`EngineError::Workload`] when a
+    /// closed-loop or open-mix workload is paired with anything but a
+    /// plain 3-tier chain, or an open plan table holds a plan that does
+    /// not fit the system.
     #[allow(deprecated)]
     pub fn try_new(
         cfg: SystemConfig,
         workload: Workload,
         horizon: SimDuration,
         seed: u64,
-    ) -> Result<Self, WorkloadError> {
+    ) -> Result<Self, EngineError> {
         if matches!(workload, Workload::Closed { .. } | Workload::Open { .. })
             && !(cfg.tiers.len() == 3 && cfg.shape.is_linear())
         {
             return Err(WorkloadError::MixRequiresThreeTier {
                 tiers: cfg.tiers.len(),
                 linear: cfg.shape.is_linear(),
-            });
+            }
+            .into());
         }
-        assert!(!cfg.tiers.is_empty(), "a system needs at least one tier");
-        assert_eq!(
-            cfg.shape.len(),
-            cfg.tiers.len(),
-            "topology shape covers {} nodes but the config has {} tiers",
-            cfg.shape.len(),
-            cfg.tiers.len()
-        );
-        for (i, tc) in cfg.tiers.iter().enumerate() {
-            assert!(
-                tc.downstream_pool.is_none() || cfg.shape.children[i].len() == 1,
-                "tier {}: a downstream connection pool requires exactly one downstream",
-                tc.name
-            );
-        }
-        if let Some(max) = cfg.faults.max_tier() {
-            assert!(
-                max < cfg.tiers.len(),
-                "fault targets tier {max} outside the chain"
-            );
-        }
-        for f in cfg.faults.faults() {
-            if let Some(r) = f.replica() {
-                let t = f.tier();
-                let n = cfg.tiers[t].replicas.max(1);
-                assert!(
-                    r < n,
-                    "gray fault targets replica {r} of tier {t}, which has {n} replicas"
-                );
+        Self::validate_config(&cfg)?;
+        if let Workload::OpenPlans { arrivals } = &workload {
+            for (index, (_, plan)) in arrivals.iter().enumerate() {
+                plan.matches_shape(&cfg.shape)
+                    .map_err(|reason| WorkloadError::MisshapenPlan { index, reason })?;
             }
         }
         let root = SimRng::seed_from(seed);
@@ -1063,12 +1168,6 @@ impl Engine {
             })
         });
         let health = cfg.health.clone().map(|h| {
-            assert!(
-                h.tier < tiers.len(),
-                "health detector targets tier {} of {}",
-                h.tier,
-                tiers.len()
-            );
             let replicas = tiers[h.tier].replicas.len();
             Box::new(HealthRuntime {
                 rng: root.fork("health"),
@@ -1133,6 +1232,7 @@ impl Engine {
             pending_arrival: None,
             last_arrival: SimTime::ZERO,
             workload_fault: None,
+            compiler: PlanCompiler::default(),
         })
     }
 
@@ -1144,6 +1244,57 @@ impl Engine {
     pub fn with_metrics_sink(mut self, sink: Box<dyn std::io::Write + Send>) -> Self {
         self.metrics_sink = Some(MetricsSink(sink));
         self
+    }
+
+    /// The structural checks [`Engine::try_new`] runs before building
+    /// anything.
+    fn validate_config(cfg: &SystemConfig) -> Result<(), ConfigError> {
+        let tiers = cfg.tiers.len();
+        if tiers == 0 {
+            return Err(ConfigError::NoTiers);
+        }
+        if cfg.shape.len() != tiers {
+            return Err(ConfigError::ShapeMismatch {
+                shape_nodes: cfg.shape.len(),
+                tiers,
+            });
+        }
+        for (i, tc) in cfg.tiers.iter().enumerate() {
+            let downstreams = cfg.shape.children[i].len();
+            if tc.downstream_pool.is_some() && downstreams != 1 {
+                return Err(ConfigError::PoolWithoutSingleDownstream {
+                    tier: tc.name.clone(),
+                    downstreams,
+                });
+            }
+        }
+        if let Some(max) = cfg.faults.max_tier() {
+            if max >= tiers {
+                return Err(ConfigError::FaultTierOutOfRange { tier: max, tiers });
+            }
+        }
+        for f in cfg.faults.faults() {
+            if let Some(replica) = f.replica() {
+                let tier = f.tier();
+                let replicas = cfg.tiers[tier].replicas.max(1);
+                if replica >= replicas {
+                    return Err(ConfigError::GrayReplicaOutOfRange {
+                        tier,
+                        replica,
+                        replicas,
+                    });
+                }
+            }
+        }
+        if let Some(h) = &cfg.health {
+            if h.tier >= tiers {
+                return Err(ConfigError::HealthTierOutOfRange {
+                    tier: h.tier,
+                    tiers,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Builds one replica instance of `tc` (replica index `r` selects its
@@ -1594,7 +1745,7 @@ impl Engine {
             r.client = client;
             r.class = class;
             r.plan = plan;
-            r.slice_idx.fill(0);
+            r.slice.fill((0, 0));
             r.active_visit.fill(0);
             r.next_visit.fill(0);
             r.retrans = RetransmitState::new();
@@ -1624,7 +1775,7 @@ impl Engine {
                 client,
                 class,
                 plan,
-                slice_idx: vec![0; n],
+                slice: vec![(0, 0); n],
                 active_visit: vec![0; n],
                 next_visit: vec![0; n],
                 retrans: RetransmitState::new(),
@@ -1788,25 +1939,15 @@ impl Engine {
             self.pull_next_arrival();
             (req.class, req.plan)
         } else {
-            let (class, plan) = match &self.workload {
+            // Eager plans were vetted once in `try_new`, and mix plans are
+            // 3-tier chains on a system `try_new` checked is one.
+            match &self.workload {
                 Workload::Closed { mix, .. } | Workload::Open { mix, .. } => {
-                    let s = mix.sample(&mut self.rng_mix);
-                    (s.class, Plan::compile(&s))
+                    self.compiler.draw(mix, &mut self.rng_mix)
                 }
                 Workload::OpenPlans { arrivals } => ("custom", arrivals[idx as usize].1.share()),
                 Workload::Source(_) => unreachable!("handled above"),
-            };
-            assert_eq!(
-                plan.depth(),
-                self.tiers.len(),
-                "plan depth must match the system's tier count"
-            );
-            if self.has_fanout {
-                if let Err(e) = plan.matches_shape(&self.cfg.shape) {
-                    panic!("{e}");
-                }
             }
-            (class, plan)
         };
         // Fast-fail at the client while its breaker refuses the hop (in
         // half-open this admits the request as the probe).
@@ -2444,15 +2585,18 @@ impl Engine {
                 visit,
             },
         );
-        self.requests[i].slice_idx[tier] = 0;
-        self.requests[i].active_visit[tier] = visit;
-        self.exec_slice(req, tier, visit, 0);
+        let r = &mut self.requests[i];
+        r.slice[tier] = r.plan.slice_range(tier, visit as usize);
+        r.active_visit[tier] = visit;
+        self.exec_slice(req, tier, visit);
     }
 
-    fn exec_slice(&mut self, req: ReqId, tier: usize, visit: u16, slice: usize) {
+    /// Runs the slice at `tier`'s cached position of the active visit.
+    fn exec_slice(&mut self, req: ReqId, tier: usize, visit: u16) {
         let i = self.live_expect(req);
-        let demand = self.requests[i].plan.slices_at(tier, visit as usize)[slice];
-        let rep = self.requests[i].replica[tier] as usize;
+        let r = &self.requests[i];
+        let demand = r.plan.slice(r.slice[tier].0);
+        let rep = r.replica[tier] as usize;
         let rt = &mut self.tiers[tier].replicas[rep];
         let active = match &rt.state {
             TierState::Sync(pg) => pg.busy(),
@@ -2491,9 +2635,8 @@ impl Engine {
         let Some(i) = self.live(req) else {
             return;
         };
-        let slice = self.requests[i].slice_idx[tier];
-        let total = self.requests[i].plan.slices_at(tier, visit as usize).len();
-        if slice + 1 == total {
+        let (pos, end) = self.requests[i].slice[tier];
+        if pos + 1 == end {
             self.finish_visit(req, tier, visit);
         } else {
             self.issue_call(req, tier);
@@ -2584,10 +2727,9 @@ impl Engine {
             return;
         }
         let fan = self.requests[i].fan_node as usize;
-        let next = self.requests[i].slice_idx[fan] + 1;
-        self.requests[i].slice_idx[fan] = next;
+        self.requests[i].slice[fan].0 += 1;
         let visit = self.requests[i].active_visit[fan];
-        self.exec_slice(parent, fan, visit, next);
+        self.exec_slice(parent, fan, visit);
     }
 
     /// A scatter arm died (drops exhausted, shed): if the surviving arms
@@ -2692,10 +2834,9 @@ impl Engine {
             let rep = self.requests[i].replica[tier] as usize;
             self.release_conn(tier, rep);
         }
-        let next = self.requests[i].slice_idx[tier] + 1;
-        self.requests[i].slice_idx[tier] = next;
+        self.requests[i].slice[tier].0 += 1;
         let visit = self.requests[i].active_visit[tier];
-        self.exec_slice(req, tier, visit, next);
+        self.exec_slice(req, tier, visit);
     }
 
     fn release_conn(&mut self, tier: usize, rep: usize) {

@@ -65,7 +65,9 @@ pub use arrivals::{
 #[allow(deprecated)]
 pub use config::TierConfig;
 pub use config::{SystemConfig, TierKind, TierSpec};
-pub use engine::{Engine, ReplicaGone, Workload, WorkloadError, WorkloadSource};
+pub use engine::{
+    ConfigError, Engine, EngineError, ReplicaGone, Workload, WorkloadError, WorkloadSource,
+};
 pub use experiment::ExperimentSpec;
 pub use plan::Plan;
 pub use report::{ReplicaReport, RunReport, TierReport};

@@ -107,6 +107,21 @@ pub struct SampledRequest {
     pub db_demands: Vec<SimDuration>,
 }
 
+/// The scalar half of one mix draw: class, kind and the web/app demands.
+/// The database demands go to a caller-owned buffer (see
+/// [`RequestMix::draw_into`]), so a draw allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestDraw {
+    /// Class name (for per-class reporting).
+    pub class: &'static str,
+    /// Static or dynamic.
+    pub kind: RequestKind,
+    /// CPU demand at the web tier.
+    pub web_demand: SimDuration,
+    /// CPU demand at the app tier (zero for static requests).
+    pub app_demand: SimDuration,
+}
+
 /// A weighted set of request classes.
 #[derive(Debug)]
 pub struct RequestMix {
@@ -211,6 +226,22 @@ impl RequestMix {
 
     /// Draws one request.
     pub fn sample(&self, rng: &mut SimRng) -> SampledRequest {
+        let mut db_demands = Vec::new();
+        let d = self.draw_into(rng, &mut db_demands);
+        SampledRequest {
+            class: d.class,
+            kind: d.kind,
+            web_demand: d.web_demand,
+            app_demand: d.app_demand,
+            db_demands,
+        }
+    }
+
+    /// Draws one request, writing its database demands into `db` (cleared
+    /// first) in issue order. This is the mix's only sampler: the rng is
+    /// consumed as the class pick, the web demand, then — for dynamic
+    /// classes — the app demand and one draw per query.
+    pub fn draw_into(&self, rng: &mut SimRng, db: &mut Vec<SimDuration>) -> RequestDraw {
         let mut pick = rng.next_f64() * self.total_weight;
         let mut chosen = self.profiles.last().expect("non-empty");
         for p in &self.profiles {
@@ -220,22 +251,21 @@ impl RequestMix {
             }
             pick -= p.weight;
         }
+        db.clear();
         let web_demand = chosen.web.sample(rng);
-        let (app_demand, db_demands) = match chosen.kind {
-            RequestKind::Static => (SimDuration::ZERO, Vec::new()),
-            RequestKind::Dynamic => (
-                chosen.app.sample(rng),
-                (0..chosen.db_queries)
-                    .map(|_| chosen.db.sample(rng))
-                    .collect(),
-            ),
+        let app_demand = match chosen.kind {
+            RequestKind::Static => SimDuration::ZERO,
+            RequestKind::Dynamic => {
+                let app = chosen.app.sample(rng);
+                db.extend((0..chosen.db_queries).map(|_| chosen.db.sample(rng)));
+                app
+            }
         };
-        SampledRequest {
+        RequestDraw {
             class: chosen.name,
             kind: chosen.kind,
             web_demand,
             app_demand,
-            db_demands,
         }
     }
 
@@ -351,6 +381,57 @@ mod tests {
         assert_eq!(r.app_demand, SimDuration::from_micros(750));
         assert_eq!(r.db_demands.len(), 2);
         assert_eq!(r.db_demands[0], SimDuration::from_micros(150));
+    }
+
+    /// The draw order the mix has always used — class pick, web, then app
+    /// and one draw per query for dynamic classes — as a reference for
+    /// [`RequestMix::draw_into`].
+    fn reference_sample(mix: &RequestMix, rng: &mut SimRng) -> SampledRequest {
+        let mut pick = rng.next_f64() * mix.total_weight;
+        let mut chosen = mix.profiles.last().expect("non-empty");
+        for p in &mix.profiles {
+            if pick < p.weight {
+                chosen = p;
+                break;
+            }
+            pick -= p.weight;
+        }
+        let web_demand = chosen.web.sample(rng);
+        let (app_demand, db_demands) = match chosen.kind {
+            RequestKind::Static => (SimDuration::ZERO, Vec::new()),
+            RequestKind::Dynamic => (
+                chosen.app.sample(rng),
+                (0..chosen.db_queries)
+                    .map(|_| chosen.db.sample(rng))
+                    .collect(),
+            ),
+        };
+        SampledRequest {
+            class: chosen.name,
+            kind: chosen.kind,
+            web_demand,
+            app_demand,
+            db_demands,
+        }
+    }
+
+    #[test]
+    fn draw_into_keeps_the_reference_draw_order() {
+        for mix in [RequestMix::rubbos_browse(), RequestMix::view_story()] {
+            let mut a = SimRng::seed_from(31);
+            let mut b = SimRng::seed_from(31);
+            let mut db = vec![SimDuration::from_secs(9)]; // stale scratch is cleared
+            for _ in 0..10_000 {
+                let want = reference_sample(&mix, &mut a);
+                let d = mix.draw_into(&mut b, &mut db);
+                assert_eq!(
+                    (d.class, d.kind, d.web_demand, d.app_demand),
+                    (want.class, want.kind, want.web_demand, want.app_demand)
+                );
+                assert_eq!(db, want.db_demands);
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "rng states diverged");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 #![deny(deprecated)]
 
 use ntier_core::arrivals::{MixPlans, PlanStamped, SourcedRequest, TraceDemandModel, TracePlans};
-use ntier_core::engine::{Engine, Workload, WorkloadError};
+use ntier_core::engine::{Engine, EngineError, Workload, WorkloadError};
 use ntier_core::{Branch, ExperimentSpec, Plan, TierSpec, Topology};
 use ntier_des::prelude::*;
 use ntier_workload::source::{ArrivalSource, MmppSource, PoissonSource, VecSource};
@@ -223,10 +223,10 @@ fn mix_on_wrong_depth_is_a_typed_error() {
     .expect("2-tier system cannot take a mix workload");
     assert_eq!(
         err,
-        WorkloadError::MixRequiresThreeTier {
+        EngineError::Workload(WorkloadError::MixRequiresThreeTier {
             tiers: 2,
             linear: true
-        }
+        })
     );
     let msg = err.to_string();
     assert!(msg.contains("3-tier"), "{msg}");
